@@ -1,21 +1,1 @@
-"""Shared SparkSession builder for spark-submit entrypoints.
-
-Mirrors the test fixture's configuration (shuffle partitions, Arrow,
-broadcast joins disabled) so job results match test/bench behaviour.
-"""
-import os
-
-from pyspark.sql import SparkSession
-
-
-def get_session(app_name: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+from repro.session import get_session  # noqa: F401

@@ -1,9 +1,9 @@
 """Estimator math from the paper plus the evaluation error metric.
 
 Variance formulas (paper §III), the Graybill–Deal combination used by
-Algorithm 2, and NRMSE (paper §IV-C) — including the local-count
-variant where a run that sampled nothing at a node contributes an
-estimate of 0.
+Algorithm 2 (:func:`combine_alg2`), and NRMSE (paper §IV-C) — including
+the local-count variant where a run that sampled nothing at a node
+contributes an estimate of 0.
 """
 from __future__ import annotations
 
@@ -46,6 +46,17 @@ def graybill_deal(est1, var1, est2, var2):
     return np.where(tot > 0, comb, est1)
 
 
+def combine_alg2(tau1, tau2, eta_hat, m: int, c: int):
+    """Algorithm 2's estimate for c > m: Graybill–Deal combination of the
+    c1 = ⌊c/m⌋ full-group estimate τ̂(1) and the c2 = c mod m leftover
+    estimate τ̂(2), with variances plugged in from τ̂(1) and η̂.
+    Vectorized; every engine calls this, so their floats agree."""
+    c1, c2 = divmod(c, m)
+    w1 = tau1 * (m - 1) / c1
+    w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2
+    return graybill_deal(tau1, w1, tau2, w2)
+
+
 def nrmse(estimates, truth: float) -> float:
     """sqrt(mean((μ̂ − μ)²)) / μ over independent runs."""
     est = np.asarray(estimates, dtype=np.float64)
@@ -62,9 +73,11 @@ def local_nrmse(
     ``sparse_estimates``: pandas ``(run, v, est)`` containing only the
     (run, node) pairs where the estimator produced a nonzero value; the
     remaining ``n_runs − count`` runs of each node are estimates of 0.
-    ``exact_local``: pandas ``(v, tau_v)`` for all nodes with τ_v > 0.
+    ``exact_local``: pandas ``(v, tau_v)`` for all nodes with τ_v > 0,
+    in any row order: the mean runs over nodes sorted by v, so the float
+    result does not depend on how Spark partitioned the exact counts.
     """
-    truth = exact_local.set_index("v")["tau_v"].astype("float64")
+    truth = exact_local.set_index("v")["tau_v"].astype("float64").sort_index()
     if sparse_estimates.empty:
         per_node_mse = truth**2
     else:

@@ -37,10 +37,16 @@ def edge_key(u, v) -> np.ndarray:
 
     Node ids must fit in 32 bits (all our generators use ids < 2^31), so
     ``(min << 32) | max`` is injective and the final mix is collision-free
-    by construction, not merely with high probability.
+    by construction, not merely with high probability. Ids outside
+    ``[0, 2^32)`` would collide silently, so they raise ``ValueError``.
     """
-    u = np.asarray(u).astype(np.uint64)
-    v = np.asarray(v).astype(np.uint64)
+    u = np.asarray(u)
+    v = np.asarray(v)
+    for ids in (u, v):
+        if ids.size and (ids.min() < 0 or ids.max() >= 1 << 32):
+            raise ValueError("node ids must lie in [0, 2^32)")
+    u = u.astype(np.uint64)
+    v = v.astype(np.uint64)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     return splitmix64((lo << _U(32)) | hi)

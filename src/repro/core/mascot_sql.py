@@ -18,16 +18,10 @@ from repro.core.indicator import per_job_counts, per_job_key_counts
 from repro.graphs.exact import TriangleTables
 
 
-def _u64(col: pd.Series) -> np.ndarray:
-    return col.to_numpy().astype(np.int64).view(np.uint64)
-
-
-def kernel_mascot(pdf: pd.DataFrame, job: dict) -> np.ndarray:
-    """Both first-two edges of the triangle pass the Bernoulli(p) test."""
-    p = job["p"]
-    u1 = uniform01(_u64(pdf["k1"]), job["seed"]) < p
-    u2 = uniform01(_u64(pdf["k2"]), job["seed"]) < p
-    return u1 & u2
+def kernel_mascot(keys: np.ndarray, job: dict) -> np.ndarray:
+    """Processor 0 stores the edges that pass the Bernoulli(p) test; a
+    triangle counts when both of its first two edges do."""
+    return np.where(uniform01(keys, job["seed"]) < job["p"], 0, -1)
 
 
 def mascot_trial_estimates(
@@ -35,7 +29,7 @@ def mascot_trial_estimates(
 ) -> np.ndarray:
     """Global single-processor MASCOT estimates τ̃ (one per trial seed)."""
     jobs = [{"seed": s, "p": p} for s in seeds]
-    cnt = per_job_counts(tables.triangles, jobs, kernel_mascot)
+    cnt = per_job_counts(tables.triangles, jobs, kernel_mascot, tables.stream)
     return cnt["cnt"].to_numpy() / (p * p)
 
 
@@ -44,9 +38,8 @@ def mascot_local_trial_counts(
 ) -> pd.DataFrame:
     """Sparse per-(trial, v) semi-triangle counts (pandas ``trial, v, cnt``)."""
     jobs = [{"seed": s, "p": p} for s in seeds]
-    df = per_job_key_counts(tables.triangles, jobs, kernel_mascot, ["x", "y", "z"]).toPandas()
-    df.columns = ["trial", "v", "cnt"]
-    return df
+    df = per_job_key_counts(tables.triangles, jobs, kernel_mascot, tables.stream)
+    return df.rename(columns={"job": "trial"})[["trial", "v", "cnt"]]
 
 
 def chunk_parallel_global(trial_estimates: np.ndarray, c: int) -> np.ndarray:

@@ -6,11 +6,12 @@ first two stream edges hash to bucket i; the online η^(i) equals
 ``Σ_g [C(x_g,2) + x_g·y_g]`` (x = sampled not-last multiplicity,
 y = sampled last-edge multiplicity at bucket h(g)). This module
 evaluates those closed forms for many runs at once with the
-:mod:`repro.core.indicator` kernels, reproducing exactly what the
-sequential simulator in :mod:`repro.stream.rept` would output.
+:mod:`repro.core.indicator` kernels over the narrow triangle table,
+in one pass per call, reproducing exactly what the sequential
+simulator in :mod:`repro.stream.rept` would output.
 
 Bucket convention: processors are 0-indexed; group g of Algorithm 2
-uses the derived seed ``mix_seeds(run_seed, g)``. A job dict carries
+uses the seed :func:`repro.stream.rept.group_seed`. A job dict carries
 ``(seed, m, lim)`` where ``lim`` is c for Algorithm 1, m for a full
 group and c2 for the leftover group.
 """
@@ -18,87 +19,35 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
-from repro.core.estimators import graybill_deal
-from repro.core.hashing import bucket, mix_seeds
+from repro.core.estimators import combine_alg2
+from repro.core.hashing import bucket
 from repro.core.indicator import per_job_counts, per_job_key_counts
 from repro.graphs.exact import TriangleTables
-
-_GROUP_SALT = 0xA11CE
-
-
-def _u64(col: pd.Series) -> np.ndarray:
-    return col.to_numpy().astype(np.int64).view(np.uint64)
+from repro.stream.rept import group_seed
 
 
-def kernel_semi(pdf: pd.DataFrame, job: dict) -> np.ndarray:
-    """Triangle is a semi-triangle on some processor of this job's
-    group: first two edges hash to the same bucket < lim."""
-    b1 = bucket(_u64(pdf["k1"]), job["seed"], job["m"])
-    b2 = bucket(_u64(pdf["k2"]), job["seed"], job["m"])
-    return (b1 == b2) & (b1 < job["lim"])
-
-
-def kernel_open(pdf: pd.DataFrame, job: dict) -> np.ndarray:
-    """Open-edge row matches iff the partner non-last edge hashes with g
-    (the semi-triangle is sampled at bucket h(g) < lim)."""
-    bg = bucket(_u64(pdf["gk"]), job["seed"], job["m"])
-    bp = bucket(_u64(pdf["pk"]), job["seed"], job["m"])
-    return (bg == bp) & (bg < job["lim"])
-
-
-def kernel_last(pdf: pd.DataFrame, job: dict) -> np.ndarray:
-    """Last-edge row matches iff the triangle's first two edges both
-    hash to the bucket of its last edge g (< lim) — the pseudocode's
-    ``τ_(u,v) ← |N_uv|`` initialization term."""
-    bg = bucket(_u64(pdf["gk"]), job["seed"], job["m"])
-    b1 = bucket(_u64(pdf["p1"]), job["seed"], job["m"])
-    b2 = bucket(_u64(pdf["p2"]), job["seed"], job["m"])
-    return (b1 == bg) & (b2 == bg) & (bg < job["lim"])
+def kernel_semi(keys: np.ndarray, job: dict) -> np.ndarray:
+    """Processor of each edge in this job's group: its bucket, or −1
+    when the bucket has no processor (≥ lim)."""
+    b = bucket(keys, job["seed"], job["m"])
+    return np.where(b < job["lim"], b, -1)
 
 
 def _alg1_jobs(m: int, c: int, seeds: list[int]) -> list[dict]:
-    return [{"run": r, "grp": 0, "seed": s, "m": m, "lim": c} for r, s in enumerate(seeds)]
+    return [{"seed": s, "m": m, "lim": c} for s in seeds]
 
 
-def _alg2_jobs(m: int, c: int, seeds: list[int]) -> tuple[list[dict], int, int]:
+def _alg2_jobs(m: int, c: int, seeds: list[int]) -> tuple[list[dict], pd.DataFrame]:
+    """Jobs of every group of every run, and their ``(job, run, partial)``."""
     c1, c2 = divmod(c, m)
-    jobs = []
+    jobs, meta = [], []
     for r, s in enumerate(seeds):
-        for g in range(c1):
-            jobs.append(
-                {"run": r, "grp": g, "seed": mix_seeds(s, g, _GROUP_SALT), "m": m, "lim": m}
-            )
-        if c2:
-            jobs.append(
-                {"run": r, "grp": c1, "seed": mix_seeds(s, c1, _GROUP_SALT), "m": m,
-                 "lim": c2, "partial": True}
-            )
-    return jobs, c1, c2
-
-
-def _eta_sums(
-    spark: SparkSession, tables: TriangleTables, jobs: list[dict]
-) -> pd.DataFrame:
-    """Per-job ``Σ_i η^(i)`` (pseudocode semantics) as pandas (job, eta)."""
-    x = per_job_key_counts(tables.open_edges, jobs, kernel_open, ["gk"]).withColumnRenamed(
-        "cnt", "x"
-    )
-    y = per_job_key_counts(tables.last_edges, jobs, kernel_last, ["gk"]).withColumnRenamed(
-        "cnt", "y"
-    )
-    per_edge = x.join(y, ["job", "key"], "left").fillna({"y": 0})
-    out = (
-        per_edge.withColumn("eta", F.expr("x * (x - 1) / 2 + x * y"))
-        .groupBy("job")
-        .agg(F.sum("eta").alias("eta"))
-        .toPandas()
-    )
-    full = pd.DataFrame({"job": np.arange(len(jobs), dtype=np.int64)})
-    out = full.merge(out, on="job", how="left").fillna({"eta": 0.0})
-    return out
+        for g in range(c1 + (1 if c2 else 0)):
+            jobs.append({"seed": group_seed(s, g), "m": m, "lim": m if g < c1 else c2})
+            meta.append((len(meta), r, g == c1))
+    return jobs, pd.DataFrame(meta, columns=["job", "run", "partial"])
 
 
 def rept_global_runs(
@@ -109,59 +58,35 @@ def rept_global_runs(
     Returns pandas ``(run, tau_hat)`` plus diagnostics (``tau1``,
     ``tau2``, ``eta_hat`` for the c > m, c2 ≠ 0 case).
     """
+    runs = range(len(seeds))
     if c <= m:
         jobs = _alg1_jobs(m, c, seeds)
-        cnt = per_job_counts(tables.triangles, jobs, kernel_semi)
-        out = pd.DataFrame(
-            {"run": range(len(seeds)), "tau_hat": cnt["cnt"].to_numpy() * (m * m / c)}
-        )
-        return out
+        cnt = per_job_counts(tables.triangles, jobs, kernel_semi, tables.stream)
+        return pd.DataFrame({"run": runs, "tau_hat": cnt["cnt"].to_numpy() * (m * m / c)})
 
-    jobs, c1, c2 = _alg2_jobs(m, c, seeds)
-    cnt = per_job_counts(tables.triangles, jobs, kernel_semi)
-    meta = pd.DataFrame(
-        {
-            "job": range(len(jobs)),
-            "run": [j["run"] for j in jobs],
-            "partial": [bool(j.get("partial")) for j in jobs],
-        }
-    )
+    c1, c2 = divmod(c, m)
+    jobs, meta = _alg2_jobs(m, c, seeds)
+    cnt = per_job_counts(tables.triangles, jobs, kernel_semi, tables.stream, eta=c2 > 0)
     cnt = cnt.merge(meta, on="job")
     full = cnt[~cnt["partial"]].groupby("run")["cnt"].sum()
-    tau1 = (full * (m / c1)).reindex(range(len(seeds)), fill_value=0.0)
+    tau1 = (full * (m / c1)).reindex(runs, fill_value=0.0)
     if c2 == 0:
-        return pd.DataFrame({"run": range(len(seeds)), "tau_hat": tau1.to_numpy()})
+        return pd.DataFrame({"run": runs, "tau_hat": tau1.to_numpy()})
 
     part = cnt[cnt["partial"]].groupby("run")["cnt"].sum()
-    tau2 = (part * (m * m / c2)).reindex(range(len(seeds)), fill_value=0.0)
-
-    eta = _eta_sums(spark, tables, jobs).merge(meta, on="job")
-    eta_run = eta.groupby("run")["eta"].sum().reindex(range(len(seeds)), fill_value=0.0)
+    tau2 = (part * (m * m / c2)).reindex(runs, fill_value=0.0)
+    eta_run = cnt.groupby("run")["eta"].sum().reindex(runs, fill_value=0)
     eta_hat = eta_run * (m**3 / c)
-
-    w1 = tau1 * (m - 1) / c1
-    w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2
-    tau_hat = graybill_deal(tau1.to_numpy(), w1.to_numpy(), tau2.to_numpy(), w2.to_numpy())
+    tau_hat = combine_alg2(tau1.to_numpy(), tau2.to_numpy(), eta_hat.to_numpy(), m, c)
     return pd.DataFrame(
         {
-            "run": range(len(seeds)),
+            "run": runs,
             "tau_hat": tau_hat,
             "tau1": tau1.to_numpy(),
             "tau2": tau2.to_numpy(),
             "eta_hat": eta_hat.to_numpy(),
         }
     )
-
-
-def _vertex_counts(
-    tables: TriangleTables, jobs: list[dict]
-) -> pd.DataFrame:
-    """Sparse per-(job, v) semi-triangle counts (pandas)."""
-    df = per_job_key_counts(
-        tables.triangles, jobs, kernel_semi, ["x", "y", "z"]
-    ).toPandas()
-    df.columns = ["job", "v", "cnt"]
-    return df
 
 
 def rept_local_runs(
@@ -171,20 +96,15 @@ def rept_local_runs(
     (run, node) pairs absent from the output are estimates of 0."""
     if c <= m:
         jobs = _alg1_jobs(m, c, seeds)
-        vc = _vertex_counts(tables, jobs)
+        vc = per_job_key_counts(tables.triangles, jobs, kernel_semi, tables.stream)
+        vc = vc.sort_values(["job", "v"], ignore_index=True)
         vc["run"] = vc["job"]
         vc["est"] = vc["cnt"] * (m * m / c)
         return vc[["run", "v", "est"]]
 
-    jobs, c1, c2 = _alg2_jobs(m, c, seeds)
-    vc = _vertex_counts(tables, jobs)
-    meta = pd.DataFrame(
-        {
-            "job": range(len(jobs)),
-            "run": [j["run"] for j in jobs],
-            "partial": [bool(j.get("partial")) for j in jobs],
-        }
-    )
+    c1, c2 = divmod(c, m)
+    jobs, meta = _alg2_jobs(m, c, seeds)
+    vc = per_job_key_counts(tables.triangles, jobs, kernel_semi, tables.stream, eta=c2 > 0)
     vc = vc.merge(meta, on="job")
     tau1 = (
         vc[~vc["partial"]].groupby(["run", "v"])["cnt"].sum() * (m / c1)
@@ -197,39 +117,9 @@ def rept_local_runs(
     tau2 = (
         vc[vc["partial"]].groupby(["run", "v"])["cnt"].sum() * (m * m / c2)
     ).rename("tau2")
-
-    # η̂_v: per-(job, edge) pair counts exploded to the edge's endpoints.
-    x = per_job_key_counts(tables.open_edges, jobs, kernel_open, ["gk"]).withColumnRenamed(
-        "cnt", "x"
+    eta_v = (vc.groupby(["run", "v"])["eta"].sum() * (m**3 / c)).rename("eta_v")
+    comb = pd.concat([tau1, tau2, eta_v], axis=1).fillna(0.0).reset_index()
+    comb["est"] = combine_alg2(
+        comb["tau1"].to_numpy(), comb["tau2"].to_numpy(), comb["eta_v"].to_numpy(), m, c
     )
-    y = per_job_key_counts(tables.last_edges, jobs, kernel_last, ["gk"]).withColumnRenamed(
-        "cnt", "y"
-    )
-    edge_dim = tables.edges.select(
-        F.col("k").alias("key"), F.col("a").alias("gp"), F.col("b").alias("gq")
-    )
-    per_edge = (
-        x.join(y, ["job", "key"], "left")
-        .fillna({"y": 0})
-        .withColumn("eta", F.expr("x * (x - 1) / 2 + x * y"))
-        .join(edge_dim, "key")
-    )
-    eta_v = (
-        per_edge.select(
-            "job", F.explode(F.array(F.col("gp"), F.col("gq"))).alias("v"), "eta"
-        )
-        .groupBy("job", "v")
-        .agg(F.sum("eta").alias("eta"))
-        .toPandas()
-    )
-    eta_v = eta_v.merge(meta, on="job")
-    eta_v_run = (eta_v.groupby(["run", "v"])["eta"].sum() * (m**3 / c)).rename("eta_v")
-
-    comb = pd.concat([tau1, tau2, eta_v_run], axis=1).fillna(0.0).reset_index()
-    t1 = comb["tau1"].to_numpy()
-    t2 = comb["tau2"].to_numpy()
-    ev = comb["eta_v"].to_numpy()
-    w1 = t1 * (m - 1) / c1
-    w2 = (t1 * (m * m - c2) + 2.0 * ev * (m - c2)) / c2
-    comb["est"] = graybill_deal(t1, w1, t2, w2)
     return comb[["run", "v", "est"]]

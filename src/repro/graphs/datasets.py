@@ -5,15 +5,14 @@ Each entry maps a paper dataset name to a generator config, scaled down
 multiplies node/edge counts so tests can run tiny instances of the same
 shapes the benchmarks use.
 
-``load_stream`` returns the numpy arrays every engine consumes (cached
-as ``.npz`` under ``.data/``); ``edge_stream_df`` wraps them as a Spark
+``load_stream`` returns the numpy arrays every engine consumes (memoized
+in-process: generating all eight analogs takes about a second, so
+nothing is cached on disk); ``edge_stream_df`` wraps them as a Spark
 DataFrame ``(t, a, b, k)`` with ``a < b`` and ``k`` the canonical edge
 key. The paper's true statistics are kept alongside for EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +54,6 @@ CONFIGS: dict[str, dict] = {
 
 DATASETS = list(CONFIGS)
 
-_CACHE_DIR = os.environ.get(
-    "REPRO_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".data")
-)
-
 
 @dataclass(frozen=True)
 class Stream:
@@ -78,6 +73,9 @@ class Stream:
     @property
     def n_nodes(self) -> int:
         return len(np.unique(np.concatenate([self.u, self.v])))
+
+
+_STREAMS: dict[tuple, Stream] = {}
 
 
 def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,24 +101,20 @@ def _generate(name: str, scale: float, seed: int) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def load_stream(name: str, scale: float = 1.0, seed: int = 7, cache: bool = True) -> Stream:
-    """Generate (or load from cache) the named dataset's edge stream.
+def load_stream(name: str, scale: float = 1.0, seed: int = 7) -> Stream:
+    """Generate the named dataset's edge stream, once per process.
 
-    The cache key includes a digest of the generator config so edits to
-    :data:`CONFIGS` never serve stale graphs.
+    Every caller shares the returned arrays, so they are read-only.
     """
-    digest = hashlib.md5(repr(sorted(CONFIGS[name].items())).encode()).hexdigest()[:8]
-    path = os.path.join(_CACHE_DIR, f"{name}_s{scale}_r{seed}_{digest}.npz")
-    if cache and os.path.exists(path):
-        z = np.load(path)
-        return Stream(name, z["t"], z["u"], z["v"], z["k"])
-    u, v = _generate(name, scale, seed)
-    t, u, v = gen.to_stream(u, v, seed=seed + 1)
-    k = edge_key(u, v)
-    if cache:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        np.savez_compressed(path, t=t, u=u, v=v, k=k)
-    return Stream(name, t, u, v, k)
+    key = (name, scale, seed)
+    if key not in _STREAMS:
+        u, v = _generate(name, scale, seed)
+        t, u, v = gen.to_stream(u, v, seed=seed + 1)
+        arrays = (t, u, v, edge_key(u, v))
+        for a in arrays:
+            a.flags.writeable = False
+        _STREAMS[key] = Stream(name, *arrays)
+    return _STREAMS[key]
 
 
 def stream_pdf(stream: Stream) -> pd.DataFrame:

@@ -17,11 +17,16 @@ import time
 
 import numpy as np
 
-from repro.core.estimators import graybill_deal
+from repro.core.estimators import combine_alg2
 from repro.core.hashing import bucket, mix_seeds
 from repro.graphs.datasets import Stream
 
-_GROUP_SALT = 0xA11CE  # must match repro.core.rept_sql
+_GROUP_SALT = 0xA11CE
+
+
+def group_seed(seed: int, g: int) -> int:
+    """Hash seed of group g of an Algorithm 2 run with seed ``seed``."""
+    return mix_seeds(seed, g, _GROUP_SALT)
 
 
 def rept_processor(
@@ -118,7 +123,7 @@ def rept_run(
     c1, c2 = divmod(c, m)
     group_results: list[list[dict]] = []
     for g in range(c1 + (1 if c2 else 0)):
-        gseed = mix_seeds(seed, g, _GROUP_SALT)
+        gseed = group_seed(seed, g)
         n_proc = m if g < c1 else c2
         group_results.append(
             [
@@ -139,9 +144,7 @@ def rept_run(
     part = group_results[c1]
     tau2 = (m * m / c2) * sum(p["tau"] for p in part)
     eta_hat = (m**3 / c) * sum(p["eta"] for g in group_results for p in g)
-    w1 = tau1 * (m - 1) / c1
-    w2 = (tau1 * (m * m - c2) + 2.0 * eta_hat * (m - c2)) / c2
-    tau_hat = float(graybill_deal(tau1, w1, tau2, w2))
+    tau_hat = float(combine_alg2(tau1, tau2, eta_hat, m, c))
 
     locals_: dict[int, float] = {}
     if track_local:
@@ -162,9 +165,7 @@ def rept_run(
             tv1 = t1.get(v, 0.0) * m / c1
             tv2 = t2.get(v, 0.0) * m * m / c2
             ehat = ev.get(v, 0.0) * m**3 / c
-            wv1 = tv1 * (m - 1) / c1
-            wv2 = (tv1 * (m * m - c2) + 2.0 * ehat * (m - c2)) / c2
-            locals_[v] = float(graybill_deal(tv1, wv1, tv2, wv2))
+            locals_[v] = float(combine_alg2(tv1, tv2, ehat, m, c))
     return {
         "tau_hat": tau_hat,
         "tau_v_hat": locals_,

@@ -1,4 +1,4 @@
-"""Tests for the Table II analog dataset registry and stream caching."""
+"""Tests for the Table II analog dataset registry and stream memoization."""
 import numpy as np
 import pytest
 
@@ -15,30 +15,34 @@ from repro.graphs.datasets import (
 @pytest.mark.parametrize("name", DATASETS)
 class TestRegistry:
     def test_loads(self, name):
-        s = load_stream(name, scale=0.1, seed=7, cache=False)
+        s = load_stream(name, scale=0.1, seed=7)
         assert s.n_edges > 20
         assert s.n_nodes > 5
 
     def test_canonical_and_unique(self, name):
-        s = load_stream(name, scale=0.1, seed=7, cache=False)
+        s = load_stream(name, scale=0.1, seed=7)
         assert (s.u < s.v).all()
         assert len(set(zip(s.u.tolist(), s.v.tolist()))) == s.n_edges
 
     def test_keys_match_endpoints(self, name):
-        s = load_stream(name, scale=0.1, seed=7, cache=False)
+        s = load_stream(name, scale=0.1, seed=7)
         assert (s.k == edge_key(s.u, s.v)).all()
 
     def test_arrival_positions(self, name):
-        s = load_stream(name, scale=0.1, seed=7, cache=False)
+        s = load_stream(name, scale=0.1, seed=7)
         assert (s.t == np.arange(s.n_edges)).all()
 
     def test_paper_stats_present(self, name):
         nodes, edges, triangles = PAPER_TABLE2[name]
         assert nodes > 0 and edges > nodes / 2 and triangles > 0
 
-    def test_deterministic(self, name):
-        s1 = load_stream(name, scale=0.1, seed=7, cache=False)
-        s2 = load_stream(name, scale=0.1, seed=7, cache=False)
+    def test_deterministic(self, name, monkeypatch):
+        import repro.graphs.datasets as ds
+
+        s1 = load_stream(name, scale=0.1, seed=7)
+        monkeypatch.setattr(ds, "_STREAMS", {})
+        s2 = load_stream(name, scale=0.1, seed=7)
+        assert s1 is not s2
         assert (s1.u == s2.u).all() and (s1.v == s2.v).all()
 
 
@@ -46,24 +50,22 @@ def test_registry_covers_paper_table():
     assert set(CONFIGS) == set(PAPER_TABLE2)
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    import repro.graphs.datasets as ds
-
-    monkeypatch.setattr(ds, "_CACHE_DIR", str(tmp_path))
-    s1 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
-    assert any(f.suffix == ".npz" for f in tmp_path.iterdir())
-    s2 = ds.load_stream("YouTube", scale=0.05, seed=3, cache=True)
-    assert (s1.u == s2.u).all() and (s1.k == s2.k).all()
+def test_memoized_and_read_only():
+    s1 = load_stream("YouTube", scale=0.05, seed=3)
+    assert load_stream("YouTube", scale=0.05, seed=3) is s1
+    for arr in (s1.t, s1.u, s1.v, s1.k):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_stream_pdf_columns():
-    s = load_stream("YouTube", scale=0.05, seed=3, cache=False)
+    s = load_stream("YouTube", scale=0.05, seed=3)
     pdf = stream_pdf(s)
     assert list(pdf.columns) == ["t", "a", "b", "k"]
     assert (pdf["k"].to_numpy().view(np.uint64) == s.k).all()
 
 
 def test_scale_changes_size():
-    small = load_stream("LiveJournal", scale=0.05, seed=7, cache=False)
-    big = load_stream("LiveJournal", scale=0.2, seed=7, cache=False)
+    small = load_stream("LiveJournal", scale=0.05, seed=7)
+    big = load_stream("LiveJournal", scale=0.2, seed=7)
     assert big.n_edges > small.n_edges * 2

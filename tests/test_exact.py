@@ -5,11 +5,11 @@ from pyspark.sql import functions as F
 
 from repro.graphs.datasets import edge_stream_df
 from repro.graphs.exact import (
+    build_tables,
     eta_global,
     eta_local_df,
-    last_edge_df,
     local_counts_df,
-    open_edge_df,
+    not_last_df,
     triangle_df,
 )
 from repro.oracle import assert_equivalent
@@ -49,17 +49,15 @@ class TestVsBruteForce:
         assert eta_global(tri) == bf["eta"]
 
     def test_eta_v(self, tiny, seed):
-        _, _, tri, bf = tiny(seed)
-        got = {r["v"]: r["eta_v"] for r in eta_local_df(tri).collect()}
+        _, edges, tri, bf = tiny(seed)
+        got = {r["v"]: r["eta_v"] for r in eta_local_df(tri, edges).collect()}
         assert got == bf["eta_v"]
 
     def test_not_last_multiplicities(self, tiny, seed):
-        _, _, tri, bf = tiny(seed)
+        s, _, tri, bf = tiny(seed)
         got = {
-            (r["gp"], r["gq"]): r["n"]
-            for r in open_edge_df(tri).groupBy("gp", "gq").agg(
-                F.count(F.lit(1)).alias("n")
-            ).collect()
+            (int(s.u[r["t"]]), int(s.v[r["t"]])): r["n"]
+            for r in not_last_df(tri).groupBy("t").agg(F.count(F.lit(1)).alias("n")).collect()
         }
         assert got == bf["nlast"]
 
@@ -69,21 +67,22 @@ class TestVsBruteForce:
         assert bad.count() == 0
 
     def test_triangle_edge_sets(self, tiny, seed):
-        _, _, tri, bf = tiny(seed)
-        got = {
-            ((r["e1p"], r["e1q"]), (r["e2p"], r["e2q"]), (r["e3p"], r["e3q"]))
-            for r in tri.collect()
-        }
+        s, _, tri, bf = tiny(seed)
+
+        def edge(t):
+            return int(s.u[t]), int(s.v[t])
+
+        got = {(edge(r["t1"]), edge(r["t2"]), edge(r["t3"])) for r in tri.collect()}
         want = {tuple(edges) for _, edges in bf["triangles"]}
         assert got == want
 
     def test_last_edge_rows(self, tiny, seed):
-        _, _, tri, bf = tiny(seed)
-        assert last_edge_df(tri).count() == bf["tau"]
-        # every last-edge row pairs the first-two keys of that triangle
-        row = last_edge_df(tri).limit(1).collect()
-        if row:
-            assert row[0]["p1"] != row[0]["p2"]
+        s, _, tri, bf = tiny(seed)
+        rows = tri.collect()
+        assert len(rows) == bf["tau"]
+        # the last edge joins two of the triangle's nodes
+        for r in rows:
+            assert {int(s.u[r["t3"]]), int(s.v[r["t3"]])} < {r["x"], r["y"], r["z"]}
 
 
 @pytest.mark.parametrize("seed", TINY_SEEDS[:3])
@@ -124,8 +123,9 @@ class TestVsDuckDBOracle:
     def test_eta_per_edge(self, spark, tiny, seed):
         s, edges, tri, _ = tiny(seed)
         got = (
-            open_edge_df(tri)
-            .groupBy("gp", "gq")
+            not_last_df(tri)
+            .join(edges, "t")
+            .groupBy(F.col("a").alias("gp"), F.col("b").alias("gq"))
             .agg(F.count(F.lit(1)).alias("n"))
         )
         assert_equivalent(
@@ -165,3 +165,16 @@ class TestOnDatasets:
     def test_eta_nonnegative(self, tables_for, name):
         t = tables_for(name)
         assert t.eta >= 0
+
+
+def test_build_tables_persists_narrow_table_per_core(spark):
+    """Kernel calls run one Python task per partition of the table, so
+    its partition count sets their fixed cost."""
+    t = build_tables(spark, tiny_stream(n_nodes=40, n_edges=180, seed=0))
+    try:
+        assert t.triangles.columns == ["x", "y", "z", "t1", "t2", "t3"]
+        assert t.triangles.is_cached
+        assert t.triangles.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+        assert not t.open_edges.is_cached and not t.last_edges.is_cached
+    finally:
+        t.unpersist()

@@ -52,6 +52,17 @@ class TestEdgeKey:
     def test_symmetry_property(self, a, b):
         assert edge_key(a, b)[()] == edge_key(b, a)[()]
 
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**40])
+    def test_rejects_ids_outside_32_bits(self, bad):
+        # (lo << 32) | hi is only injective for ids in [0, 2^32).
+        with pytest.raises(ValueError):
+            edge_key(np.array([1, bad]), np.array([2, 3]))
+        with pytest.raises(ValueError):
+            edge_key(5, bad)
+
+    def test_accepts_largest_32_bit_id(self):
+        assert edge_key(0, 2**32 - 1)[()] != edge_key(1, 2**32 - 1)[()]
+
 
 class TestBucket:
     @pytest.mark.parametrize("m", [2, 3, 10, 100, 997])

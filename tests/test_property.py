@@ -2,49 +2,26 @@
 
 These never touch Spark — they pin the sequential simulator to the
 numpy reference over a randomized family of graphs, stream orders,
-m, c and seeds, which is where subtle semi-triangle accounting bugs
-would hide.
+m, c (Algorithm 1 and every group of Algorithm 2) and seeds, which is
+where subtle semi-triangle accounting bugs would hide.
 """
-import numpy as np
+import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reference import mascot_trial_count, rept_processor_counts
 from repro.stream.mascot import mascot_processor
-from repro.stream.rept import rept_processor
+from repro.stream.rept import group_seed, rept_processor, rept_run
 from tests.helpers import brute_force, tiny_stream
+from tests.reference import mascot_trial_count, rept_processor_counts
 
 
-def _triangle_frames(stream):
-    """Build the reference's triangle/open/last frames from brute force."""
-    import pandas as pd
-
-    from repro.core.hashing import edge_key
-
-    bf = brute_force(stream)
-    rows = []
-    for nodes, edges in bf["triangles"]:
-        ks = [int(edge_key(a, b)[()]) for a, b in edges]
-        rows.append(
-            {
-                "x": nodes[0], "y": nodes[1], "z": nodes[2],
-                "k1": np.int64(np.uint64(ks[0]).astype(np.int64)),
-                "k2": np.int64(np.uint64(ks[1]).astype(np.int64)),
-                "k3": np.int64(np.uint64(ks[2]).astype(np.int64)),
-            }
-        )
-    tri = pd.DataFrame(
-        rows, columns=["x", "y", "z", "k1", "k2", "k3"]
-    )
-    open_rows = []
-    last_rows = []
-    for _, r in tri.iterrows():
-        open_rows.append({"gk": r["k1"], "pk": r["k2"]})
-        open_rows.append({"gk": r["k2"], "pk": r["k1"]})
-        last_rows.append({"gk": r["k3"], "p1": r["k1"], "p2": r["k2"]})
-    open_e = pd.DataFrame(open_rows, columns=["gk", "pk"])
-    last_e = pd.DataFrame(last_rows, columns=["gk", "p1", "p2"])
-    return tri, open_e, last_e, bf
+def _triangle_frame(stream) -> pd.DataFrame:
+    """The narrow triangle table ``(x, y, z, t1, t2, t3)``, from brute force."""
+    pos = {(a, b): t for t, a, b in zip(stream.t.tolist(), stream.u.tolist(), stream.v.tolist())}
+    rows = [
+        (*nodes, *(pos[e] for e in edges)) for nodes, edges in brute_force(stream)["triangles"]
+    ]
+    return pd.DataFrame(rows, columns=["x", "y", "z", "t1", "t2", "t3"], dtype="int64")
 
 
 @given(
@@ -55,22 +32,46 @@ def _triangle_frames(stream):
 @settings(max_examples=25, deadline=None)
 def test_rept_stream_equals_reference(seed, m, hash_seed):
     stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
-    tri, open_e, last_e, _ = _triangle_frames(stream)
+    tri = _triangle_frame(stream)
     c = min(m, 3)
-    ref = rept_processor_counts(tri, open_e, last_e, m, c, hash_seed)
+    ref = rept_processor_counts(tri, stream.k, m, c, hash_seed)
     for i in range(c):
         r = rept_processor(stream, m, i, hash_seed, track_eta=True)
         assert r["tau"] == ref["tau"][i]
         assert r["eta"] == ref["eta"][i]
 
 
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 4),
+    extra=st.integers(1, 7),
+    hash_seed=st.integers(0, 2**32),
+)
+@settings(max_examples=25, deadline=None)
+def test_rept_alg2_groups_equal_reference(seed, m, extra, hash_seed):
+    """c > m: every group g (seed ``group_seed``) of an Algorithm 2 run,
+    the leftover group of c2 processors included."""
+    stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
+    tri = _triangle_frame(stream)
+    c = m + extra
+    c1, c2 = divmod(c, m)
+    tau, eta = [], []
+    for g in range(c1 + (1 if c2 else 0)):
+        ref = rept_processor_counts(tri, stream.k, m, m if g < c1 else c2, group_seed(hash_seed, g))
+        tau += ref["tau"].tolist()
+        eta += ref["eta"].tolist()
+    procs = rept_run(stream, m, c, hash_seed)["procs"]
+    assert [p["tau"] for p in procs] == tau
+    assert [p["eta"] for p in procs] == eta
+
+
 @given(seed=st.integers(0, 10_000), hash_seed=st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
 def test_mascot_stream_equals_reference(seed, hash_seed):
     stream = tiny_stream(n_nodes=18, n_edges=60, seed=seed)
-    tri, *_ = _triangle_frames(stream)
+    tri = _triangle_frame(stream)
     p = 0.5
-    ref = mascot_trial_count(tri, p, hash_seed)
+    ref = mascot_trial_count(tri, stream.k, p, hash_seed)
     got = mascot_processor(stream, p, hash_seed)
     assert got["cnt"] == ref
 

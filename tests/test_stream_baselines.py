@@ -8,11 +8,11 @@ from repro.core.mascot_sql import (
     mascot_local_trial_counts,
     mascot_trial_estimates,
 )
-from repro.core.reference import mascot_trial_count
 from repro.stream.gps import gps_processor
 from repro.stream.mascot import mascot_processor
 from repro.stream.triest import triest_processor
 from tests.helpers import brute_force
+from tests.reference import mascot_trial_count
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ class TestMascot:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stream_matches_sql_and_reference(self, spark, yt, p, seed):
         tri = yt.triangles.toPandas()
-        ref = mascot_trial_count(tri, p, seed) / (p * p)
+        ref = mascot_trial_count(tri, yt.stream.k, p, seed) / (p * p)
         stream = mascot_processor(yt.stream, p, seed)["tau_hat"]
         sql = mascot_trial_estimates(spark, yt, p, [seed])[0]
         assert stream == pytest.approx(ref)

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.reference import rept_processor_counts
-from repro.core.rept_sql import rept_global_runs, rept_local_runs
-from repro.stream.rept import rept_processor, rept_run
+from repro.core.indicator import per_job_counts, per_job_key_counts
+from repro.core.rept_sql import kernel_semi, rept_global_runs, rept_local_runs
+from repro.stream.rept import group_seed, rept_processor, rept_run
 from tests.helpers import brute_force, tiny_stream
+from tests.reference import rept_processor_counts
 
 CASES = [(2, 1), (2, 2), (5, 3), (5, 5), (10, 4), (10, 10)]
 SEEDS = [101, 202]
@@ -18,32 +19,29 @@ SEEDS = [101, 202]
 @pytest.fixture(scope="module")
 def setup(spark, tables_for):
     t = tables_for("YouTube", 0.1)
-    tri = t.triangles.toPandas()
-    open_e = t.open_edges.toPandas()
-    last_e = t.last_edges.toPandas()
-    return t, tri, open_e, last_e
+    return t, t.triangles.toPandas()
 
 
 @pytest.mark.parametrize("m,c", CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestStreamVsReference:
     def test_tau_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
+        t, tri = setup
+        ref = rept_processor_counts(tri, t.stream.k, m, c, seed)
         got = [rept_processor(t.stream, m, i, seed)["tau"] for i in range(c)]
         assert got == ref["tau"].tolist()
 
     def test_eta_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
+        t, tri = setup
+        ref = rept_processor_counts(tri, t.stream.k, m, c, seed)
         got = [
             rept_processor(t.stream, m, i, seed, track_eta=True)["eta"] for i in range(c)
         ]
         assert got == ref["eta"].tolist()
 
     def test_tau_v_per_processor(self, setup, m, c, seed):
-        t, tri, open_e, last_e = setup
-        ref = rept_processor_counts(tri, open_e, last_e, m, c, seed)
+        t, tri = setup
+        ref = rept_processor_counts(tri, t.stream.k, m, c, seed)
         got = {}
         for i in range(c):
             r = rept_processor(t.stream, m, i, seed, track_local=True)
@@ -92,6 +90,32 @@ class TestAlgorithm2:
         assert set(sql) == set(stream)
         for v in sql:
             assert math.isclose(sql[v], stream[v], rel_tol=1e-9)
+
+
+    def test_fused_eta_pass_matches_stream(self, setup, m, c, seed):
+        """Per group: Σ_i τ^(i), Σ_i η^(i) and per node Σ_i η_v^(i) of
+        the one-pass kernels equal the sequential processors exactly."""
+        t, _ = setup
+        c1, c2 = divmod(c, m)
+        lims = [m] * c1 + ([c2] if c2 else [])
+        jobs = [{"seed": group_seed(seed, g), "m": m, "lim": lim} for g, lim in enumerate(lims)]
+        glob = per_job_counts(t.triangles, jobs, kernel_semi, t.stream, eta=True)
+        loc = per_job_key_counts(t.triangles, jobs, kernel_semi, t.stream, eta=True)
+        for j, job in enumerate(jobs):
+            procs = [
+                rept_processor(t.stream, m, i, job["seed"], track_eta=True, track_local=True)
+                for i in range(job["lim"])
+            ]
+            assert glob.loc[j, "cnt"] == sum(p["tau"] for p in procs)
+            assert glob.loc[j, "eta"] == sum(p["eta"] for p in procs)
+            eta_v: dict[int, int] = {}
+            for p in procs:
+                for v, e in p["eta_v"].items():
+                    eta_v[v] = eta_v.get(v, 0) + e
+            got = loc[(loc["job"] == j) & (loc["eta"] > 0)]
+            assert dict(zip(got["v"].tolist(), got["eta"].tolist())) == {
+                v: e for v, e in eta_v.items() if e
+            }
 
 
 class TestExactness:

@@ -10,7 +10,7 @@ from repro.stream.rept import rept_processor
 
 @pytest.fixture(scope="module")
 def small():
-    return load_stream("YouTube", scale=0.05, seed=7, cache=False)
+    return load_stream("YouTube", scale=0.05, seed=7)
 
 
 def _expected(stream, m, c, seed):
