@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 
 
 def _driver_mem() -> str:
@@ -36,6 +37,12 @@ def _driver_mem() -> str:
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
+
+# The harnesses write their CSVs to REPRO_RESULTS_DIR, read when
+# repro.experiments.common is imported; the small-profile runs of the
+# tests must not overwrite the committed results/.
+_RESULTS_TMP = tempfile.TemporaryDirectory(prefix="repro-results-")
+os.environ["REPRO_RESULTS_DIR"] = _RESULTS_TMP.name
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(

@@ -42,14 +42,6 @@ def mascot_local_trial_counts(
     return df.rename(columns={"job": "trial"})[["trial", "v", "cnt"]]
 
 
-def chunk_parallel_global(trial_estimates: np.ndarray, c: int) -> np.ndarray:
-    """Parallel-c MASCOT estimates: disjoint averages of c trials."""
-    n = (len(trial_estimates) // c) * c
-    if n == 0:
-        raise ValueError(f"need at least c={c} trials, got {len(trial_estimates)}")
-    return trial_estimates[:n].reshape(-1, c).mean(axis=1)
-
-
 def chunk_parallel_local(
     trial_counts: pd.DataFrame, c: int, p: float, n_trials: int
 ) -> tuple[pd.DataFrame, int]:

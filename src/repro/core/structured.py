@@ -10,15 +10,16 @@ sampled adjacency + τ^(i) — lives in Structured Streaming state via
 
 End-of-stream counts are identical to the batch SQL engine and the
 sequential simulator at the same (m, c, seed) — asserted in
-``tests/test_structured.py``. Micro-batches must arrive in stream order
-(enforced here by sorting each batch by ``t`` and feeding files
-chronologically); within that contract the semantics are exact.
+``tests/test_structured.py``, also across a restart from the
+checkpoint. Micro-batches must arrive in stream order: each batch is
+sorted by ``t`` (one batch may span several files), and a batch whose
+first edge is not later than the last edge already processed fails
+the query with a ``ValueError`` instead of counting out of order.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import uuid
 
 import numpy as np
 import pandas as pd
@@ -56,7 +57,10 @@ def rept_structured_counts(
 ) -> pd.DataFrame:
     """Run REPT(1/m, c ≤ m) over a file-source edge stream; blocks until
     all available files are processed and returns pandas ``(proc, tau)``
-    with the final per-processor semi-triangle counts."""
+    with the per-processor semi-triangle counts after the last
+    micro-batch this call ran. A call that finds a checkpoint resumes
+    from it, so its counts include the files earlier runs processed; a
+    call that finds no new file returns no rows."""
     if c > m:
         raise ValueError("structured job implements the c <= m case")
     reader = spark.readStream.schema(EDGE_SCHEMA)
@@ -71,14 +75,19 @@ def rept_structured_counts(
         from repro.core.hashing import bucket  # executor-side import
 
         proc = int(key[0])
+        pdf = pd.concat(list(pdfs)).sort_values("t")
+        t_min, t_max = int(pdf["t"].iloc[0]), int(pdf["t"].iloc[-1])
         if state.exists:
-            blob, tau = state.get
+            blob, tau, t_prev = state.get
+            if t_min <= t_prev:
+                raise ValueError(
+                    f"micro-batch out of stream order: edge t={t_min} "
+                    f"arrived after edge t={t_prev}"
+                )
             adj = pickle.loads(bytes(blob))
         else:
             adj, tau = {}, 0
-        pdf = pd.concat(list(pdfs)).sort_values("t")
         buckets = bucket(pdf["k"].to_numpy().view(np.uint64), seed, m)
-        t_max = int(pdf["t"].max())
         for a, b, bk in zip(pdf["a"].to_numpy(), pdf["b"].to_numpy(), buckets):
             a = int(a)
             b = int(b)
@@ -90,32 +99,29 @@ def rept_structured_counts(
             if bk == proc:
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
-        state.update((pickle.dumps(adj), int(tau)))
-        yield pd.DataFrame({"proc": [proc], "tau": [int(tau)], "t_max": [t_max]})
+        state.update((pickle.dumps(adj), int(tau), t_max))
+        yield pd.DataFrame({"proc": [proc], "tau": [int(tau)]})
 
     out = routed.groupBy("proc").applyInPandasWithState(
         _update,
-        outputStructType="proc long, tau long, t_max long",
-        stateStructType="blob binary, tau long",
+        outputStructType="proc long, tau long",
+        stateStructType="blob binary, tau long, t_max long",
         outputMode="update",
         timeoutConf="NoTimeout",
     )
-    qname = f"rept_structured_{uuid.uuid4().hex[:8]}"
+    # The memory sink cannot resume from a checkpoint in update mode, so
+    # each micro-batch's rows are collected here.
+    rows: list = []
     query = (
-        out.writeStream.format("memory")
-        .queryName(qname)
+        out.writeStream.foreachBatch(lambda df, _: rows.extend(df.collect()))
         .outputMode("update")
         .option("checkpointLocation", checkpoint_dir)
         .trigger(availableNow=True)
         .start()
     )
     query.awaitTermination()
-    result = (
-        spark.table(qname)
-        .groupBy("proc")
-        .agg(F.max("tau").alias("tau"))
-        .toPandas()
-        .sort_values("proc")
-        .reset_index(drop=True)
+    return (
+        pd.DataFrame(rows, columns=["proc", "tau"])
+        .groupby("proc", as_index=False)["tau"]
+        .max()
     )
-    return result

@@ -16,7 +16,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.estimators import nrmse
 from repro.core.hashing import mix_seeds
-from repro.core.mascot_sql import chunk_parallel_global, mascot_trial_estimates
+from repro.core.mascot_sql import mascot_trial_estimates
 from repro.core.rept_sql import rept_global_runs
 from repro.experiments.common import dataset_seed, get_tables, profile_datasets, save_result
 from repro.stream.engine import global_estimates, pooled_parallel_estimates, run_stream_trials
@@ -77,11 +77,7 @@ def run_global_nrmse(
                      "nrmse": nrmse(est, t.tau), "n_estimates": len(est)}
                 )
             for meth, pool in pools.items():
-                est = (
-                    chunk_parallel_global(pool, c)
-                    if meth == "mascot"
-                    else pooled_parallel_estimates(pool, c)
-                )
+                est = pooled_parallel_estimates(pool, c)
                 rows.append(
                     {"graph": name, "method": meth, "p": p, "c": c,
                      "nrmse": nrmse(est, t.tau), "n_estimates": len(est)}

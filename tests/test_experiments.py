@@ -1,9 +1,12 @@
 """Smoke + behavioral tests of the experiment harnesses at tiny scale,
 including the paper's headline claim (REPT beats naive parallelism).
 """
+import os
+
 import numpy as np
 import pytest
 
+from repro.experiments import common
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.global_nrmse import run_global_nrmse
 from repro.experiments.local_nrmse import run_local_nrmse
@@ -13,6 +16,13 @@ from repro.experiments.table2 import run_table2
 from tests.helpers import SMALL_SCALE
 
 DS = ["YouTube", "Flickr"]
+
+
+def test_results_go_to_a_temporary_dir():
+    # The harnesses below save small-profile CSVs; the committed ones in
+    # results/ must stay as they are.
+    committed = os.path.join(os.path.dirname(os.path.dirname(__file__)), "results")
+    assert os.path.realpath(common.RESULTS_DIR) != os.path.realpath(committed)
 
 
 def test_table2(spark):
